@@ -1,5 +1,7 @@
-// Benchmark harness: one target per experiment of EXPERIMENTS.md, so the
-// paper's artifacts can be regenerated and timed with
+// Benchmark harness: one target per experiment of the
+// internal/experiments.Registry (regenerate one with
+// `go run ./cmd/experiments -table <ID>`), so the paper's artifacts can be
+// timed with
 //
 //	go test -bench=. -benchmem
 //
@@ -19,7 +21,6 @@ import (
 	"radiobcast/internal/core"
 	"radiobcast/internal/domset"
 	"radiobcast/internal/experiments"
-	"radiobcast/internal/graph"
 	"radiobcast/internal/nodeset"
 	"radiobcast/internal/onebit"
 )
@@ -296,31 +297,6 @@ func BenchmarkOneBit(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineParallel compares sequential and parallel engine modes on
-// a dense graph (experiment PAR), through the facade's WithWorkers option.
-func BenchmarkEngineParallel(b *testing.B) {
-	net := radiobcast.NewNetwork(graph.GNPConnected(2000, 8.0/2000, 42))
-	l, err := radiobcast.LabelNetwork(net, "b")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				out, err := radiobcast.RunLabeled(l,
-					radiobcast.WithMessage("m"), radiobcast.WithWorkers(workers))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if out.Result.TotalTransmissions == 0 {
-					b.Fatal("no traffic")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkSweep times the batched workload path: a families × sizes ×
 // schemes × fault-rates grid executed as one RunSweep job with shared
 // frozen graphs, shared labelings and per-worker reusable engines.
@@ -348,8 +324,9 @@ func BenchmarkSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkExperimentRegistry times each experiment generator end to end in
-// quick mode (the EXPERIMENTS.md regeneration path).
+// BenchmarkExperimentRegistry times each experiment generator of
+// internal/experiments.Registry end to end in quick mode (the path of
+// `go run ./cmd/experiments -quick -table <ID>`).
 func BenchmarkExperimentRegistry(b *testing.B) {
 	for _, e := range experiments.Registry {
 		b.Run(e.ID, func(b *testing.B) {

@@ -1,10 +1,12 @@
 // Command experiments regenerates the paper's evaluation artifacts: Figure 1
-// and every theorem-derived table (see EXPERIMENTS.md). By default it runs
-// the full registry; use -exp to select specific experiments.
+// and every theorem-derived table, one experiment per entry of
+// internal/experiments.Registry (-list prints their IDs). By default it
+// runs the full registry; use -exp to select specific experiments, or
+// -table for one experiment ID or a named group of them.
 //
 // Usage:
 //
-//	experiments [-exp FIG1,T29,...] [-table fault] [-quick] [-workers N] [-csv] [-o file]
+//	experiments [-exp FIG1,T29,...] [-table fault|<ID>] [-quick] [-workers N] [-csv] [-o file]
 //	experiments -list
 package main
 
@@ -22,7 +24,7 @@ import (
 func main() {
 	var (
 		expFlag   = flag.String("exp", "all", "comma-separated experiment IDs, or \"all\"")
-		tableFlag = flag.String("table", "", "named experiment group (fault, figure, theorems, baseline, ablation); overrides -exp")
+		tableFlag = flag.String("table", "", "experiment ID, or named group (fault, figure, theorems, baseline, ablation); overrides -exp")
 		quick     = flag.Bool("quick", false, "run reduced sweeps")
 		workers   = flag.Int("workers", 0, "sweep parallelism (0 = GOMAXPROCS)")
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned text")
@@ -45,14 +47,18 @@ func main() {
 	var entries []experiments.Entry
 	switch {
 	case *tableFlag != "":
-		ids, ok := experiments.Groups[strings.TrimSpace(*tableFlag)]
+		name := strings.TrimSpace(*tableFlag)
+		ids, ok := experiments.Groups[name]
+		if _, isID := experiments.Find(name); !ok && isID {
+			ids, ok = []string{name}, true
+		}
 		if !ok {
 			names := make([]string, 0, len(experiments.Groups))
 			for name := range experiments.Groups {
 				names = append(names, name)
 			}
 			sort.Strings(names)
-			fmt.Fprintf(os.Stderr, "experiments: unknown table group %q (have: %s)\n",
+			fmt.Fprintf(os.Stderr, "experiments: unknown table group %q (have: %s; or an experiment ID, see -list)\n",
 				*tableFlag, strings.Join(names, ", "))
 			os.Exit(2)
 		}

@@ -205,14 +205,13 @@ func TestRunSweepCtxPartialGridOrder(t *testing.T) {
 	var streamed atomic.Int64
 	spec := radiobcast.SweepSpec{
 		Families: []string{"grid"},
-		Sizes:    []int{2500},
-		Schemes:  []string{"b"},
-		Repeats:  60,
-		Workers:  2,
-		// The dense engine keeps each cell slow enough that the sweep
-		// cannot finish all 60 before the cancellation propagates; the
-		// bitset core is fast enough to beat the cancel otherwise.
-		DenseEngine: true,
+		Sizes:    []int{1024},
+		// Barb's engine cost is about O(n) per round over ~14n rounds,
+		// which keeps each cell slow enough that the sweep cannot finish
+		// all 60 before the cancellation propagates.
+		Schemes: []string{"barb"},
+		Repeats: 60,
+		Workers: 2,
 		OnCell: func(radiobcast.CellResult) {
 			if streamed.Add(1) == 5 {
 				cancel()

@@ -12,7 +12,7 @@
 // and registers itself by name. A full run is one call:
 //
 //	net, _ := radiobcast.Family("grid", 64)
-//	out, _ := radiobcast.RunCtx(ctx, net, "barb", radiobcast.WithWorkers(-1))
+//	out, _ := radiobcast.RunCtx(ctx, net, "barb", radiobcast.WithMessage("µ"))
 //	err := radiobcast.Verify(out)
 //
 // Serving workloads go through a Session, which caches labelings by
@@ -35,34 +35,31 @@
 // Label once and broadcast many times with LabelNetwork + RunLabeled
 // (ctx variants: LabelNetworkCtx, RunLabeledCtx; the context-free names
 // are kept as context.Background() wrappers); tune runs with functional
-// options (WithWorkers, WithMaxRounds, WithTrace, WithSim,
-// WithDenseEngine, WithScalarEngine, WithQuick, WithSource, …);
+// options (WithMaxRounds, WithTrace, WithSim, WithQuick, WithSource, …);
 // enumerate algorithms with Schemes and plug in new ones with Register.
+// A run uses one core; use more by running concurrent RunLabeled calls
+// or a sweep (SweepSpec.Workers).
 //
 // Adversarial channels are declared as a FaultSpec — an i.i.d. jamming
 // rate, a budgeted (optionally greedy) jammer, crash–recovery,
 // duty-cycling, topology churn, or a composition — and injected with
 // WithFaultSpec. A faulted run is graded, not failed: Outcome.Coverage,
 // Outcome.Degraded and Outcome.RoundsToCoverage quantify partial
-// delivery. Every model is deterministic in (spec, seed) and
-// bit-identical across all engine modes.
+// delivery. Every model is deterministic in (spec, seed).
 //
 // RunSweep executes a whole families × sizes × schemes × sources ×
 // faults × repeats grid as one batched job on a worker pool that shares
 // frozen graphs and labelings across cells; the fault axis is the
 // FaultRates entries followed by the Faults specs, each spec's seed
-// folded with the repeat index so the grid is reproducible. Cells that
-// share a graph fold automatically into lockstep batches (radio.RunBatch)
-// so the topology is read once per round for the whole batch.
+// folded with the repeat index so the grid is reproducible.
 //
 // The machinery lives under internal/:
 //
 //   - internal/graph, internal/nodeset: the network substrate, with a
 //     frozen CSR form (Graph.Freeze) iterated by every hot path;
 //   - internal/radio: the synchronous radio model of §1.1 — one reusable
-//     engine whose sequential sparse mode runs on a bit-packed
-//     word-parallel core with lockstep same-graph batches (RunBatch),
-//     plus scalar, dense and parallel modes, all bit-identical;
+//     engine on a bit-packed word-parallel core, plus the dense
+//     reference loop the differential tests compare it against;
 //   - internal/faults: the composable fault-model contract behind
 //     FaultSpec (jam/crash/duty/churn, seeded and deterministic);
 //   - internal/domset: minimal dominating subsets (§2.1 step 4);
@@ -78,6 +75,8 @@
 //
 //	go test -bench=. -benchmem
 //
-// to exercise the full harness, or use cmd/experiments to regenerate
-// EXPERIMENTS.md's tables.
+// to exercise the full harness, or regenerate one experiment of
+// internal/experiments.Registry by ID with
+//
+//	go run ./cmd/experiments -quick -table <ID>
 package radiobcast

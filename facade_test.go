@@ -6,6 +6,7 @@ package radiobcast_test
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"radiobcast"
@@ -40,7 +41,9 @@ func TestRegistryComplete(t *testing.T) {
 // TestSchemeMatrix runs every registered scheme across a grid of graph
 // families and requires Verify to pass. The flooding and onebit rows are
 // restricted to families where a (trivial resp. searched) 1-bit labeling
-// exists — one-bit broadcast is not universal.
+// exists — one-bit broadcast is not universal. The paper's schemes must
+// also stay within their label lengths on every family: 2 bits for λ
+// (Theorem 2.9), 3 bits for λack and λarb (Theorem 3.9, §4).
 func TestSchemeMatrix(t *testing.T) {
 	type fam struct {
 		name string
@@ -60,6 +63,7 @@ func TestSchemeMatrix(t *testing.T) {
 		// figure1 (the paper's adversarial example defeats 1-bit labels).
 		"gjp": general,
 	}
+	maxBits := map[string]int{"b": 2, "back": 3, "barb": 3}
 	for _, scheme := range builtins {
 		fams, ok := matrix[scheme]
 		if !ok {
@@ -83,6 +87,9 @@ func TestSchemeMatrix(t *testing.T) {
 				}
 				if out.Scheme != scheme || out.Mu != "m" {
 					t.Fatalf("outcome mislabeled: scheme %q mu %q", out.Scheme, out.Mu)
+				}
+				if limit, ok := maxBits[scheme]; ok && out.Labeling.Bits() > limit {
+					t.Fatalf("%s labels use %d bits, the paper's bound is %d", scheme, out.Labeling.Bits(), limit)
 				}
 			})
 		}
@@ -151,10 +158,12 @@ func TestGoldenCompatibilityBack(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequential runs schemes through the parallel engine
-// (WithWorkers(-1) = GOMAXPROCS) and requires results bit-identical to the
-// sequential engine. Run under -race this also exercises the facade's
-// wrapper layer (baseline observers, Stop predicates) for data races.
+// TestParallelMatchesSequential runs each scheme from several goroutines
+// at once over one shared labeling — concurrent RunLabeled calls are how
+// callers use more than one core — and requires every outcome to be
+// bit-identical to a sequential run. Run under -race this also exercises
+// the facade's wrapper layer (baseline observers, Stop predicates) and
+// the shared frozen graph for data races.
 func TestParallelMatchesSequential(t *testing.T) {
 	for _, scheme := range []string{"b", "back", "barb", "roundrobin", "colorrobin"} {
 		t.Run(scheme, func(t *testing.T) {
@@ -162,26 +171,38 @@ func TestParallelMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seq, err := radiobcast.Run(net, scheme, radiobcast.WithMessage("m"))
+			l, err := radiobcast.LabelNetwork(net, scheme)
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := radiobcast.Run(net, scheme, radiobcast.WithMessage("m"), radiobcast.WithWorkers(-1))
+			seq, err := radiobcast.RunLabeled(l, radiobcast.WithMessage("m"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if seq.CompletionRound != par.CompletionRound {
-				t.Fatalf("sequential completion %d, parallel %d", seq.CompletionRound, par.CompletionRound)
+			par := make([]*radiobcast.Outcome, 4)
+			errs := make([]error, len(par))
+			var wg sync.WaitGroup
+			for i := range par {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					par[i], errs[i] = radiobcast.RunLabeled(l, radiobcast.WithMessage("m"))
+				}()
 			}
-			if !reflect.DeepEqual(seq.InformedRound, par.InformedRound) {
-				t.Fatalf("informed rounds differ between engines:\nseq %v\npar %v", seq.InformedRound, par.InformedRound)
-			}
-			if seq.Result.TotalTransmissions != par.Result.TotalTransmissions {
-				t.Fatalf("transmissions differ: seq %d, par %d",
-					seq.Result.TotalTransmissions, par.Result.TotalTransmissions)
-			}
-			if err := radiobcast.Verify(par); err != nil {
-				t.Fatalf("parallel Verify: %v", err)
+			wg.Wait()
+			for i, out := range par {
+				if errs[i] != nil {
+					t.Fatal(errs[i])
+				}
+				if !sameResults(seq.Result, out.Result) {
+					t.Fatalf("concurrent run %d diverged from the sequential run", i)
+				}
+				if !reflect.DeepEqual(seq.InformedRound, out.InformedRound) {
+					t.Fatalf("concurrent run %d: informed rounds differ:\nseq %v\npar %v", i, seq.InformedRound, out.InformedRound)
+				}
+				if err := radiobcast.Verify(out); err != nil {
+					t.Fatalf("concurrent run %d: Verify: %v", i, err)
+				}
 			}
 		})
 	}

@@ -34,9 +34,10 @@ func faultMatrix() map[string]radiobcast.FaultSpec {
 }
 
 // TestEngineModesBitIdenticalFaulted extends the engine-equivalence
-// contract to the fault subsystem: under every fault model, the sparse,
-// dense, sequential and parallel engines produce bit-identical raw
-// Results and identical degradation metrics over one shared labeling.
+// contract to the fault subsystem: under every fault model — topology
+// churn included, which swaps the bitset engine's graph mid-run — the
+// bitset engine produces raw Results, traces and degradation metrics
+// bit-identical to the dense reference loop over one shared labeling.
 // Each run materializes its own model instance from the same spec, so
 // this also pins that (model, seed) fully determines the fault pattern.
 func TestEngineModesBitIdenticalFaulted(t *testing.T) {
@@ -67,13 +68,12 @@ func TestEngineModesBitIdenticalFaulted(t *testing.T) {
 					}
 					return out
 				}
-				ref := run(radiobcast.WithDenseEngine())
+				refTr, gotTr := &radiobcast.Trace{}, &radiobcast.Trace{}
+				ref := run(radiobcast.WithReferenceEngine(), radiobcast.WithTrace(refTr))
 				for mode, out := range map[string]*radiobcast.Outcome{
-					"sparse":         run(),
-					"sparse-sim":     run(radiobcast.WithSim(radiobcast.NewSim())),
-					"scalar":         run(radiobcast.WithScalarEngine()),
-					"parallel":       run(radiobcast.WithWorkers(4)),
-					"dense-parallel": run(radiobcast.WithDenseEngine(), radiobcast.WithWorkers(4)),
+					"bitset":        run(),
+					"bitset-sim":    run(radiobcast.WithSim(radiobcast.NewSim())),
+					"bitset-traced": run(radiobcast.WithTrace(gotTr)),
 				} {
 					if !sameResults(ref.Result, out.Result) {
 						t.Fatalf("mode %s diverged from the dense reference engine", mode)
@@ -85,6 +85,9 @@ func TestEngineModesBitIdenticalFaulted(t *testing.T) {
 						t.Fatalf("mode %s: degradation metrics differ: %v/%v vs %v/%v",
 							mode, out.Coverage, out.Degraded, ref.Coverage, ref.Degraded)
 					}
+				}
+				if !reflect.DeepEqual(refTr, gotTr) {
+					t.Fatal("bitset engine's trace diverged from the dense reference engine's")
 				}
 			})
 		}

@@ -74,7 +74,8 @@ func TestAlgBackTheorem39Window(t *testing.T) {
 	// path with the source at an endpoint), giving t′ = t + n − 1. The
 	// corrected n-based window {t+1, …, t+n−1} is what we verify here; the
 	// exact ℓ-based window of Corollary 3.8 is verified in
-	// VerifyAcknowledged. See EXPERIMENTS.md §T39.
+	// VerifyAcknowledged. Reported by experiment T39 of
+	// internal/experiments.Registry (go run ./cmd/experiments -table T39).
 	for _, name := range graph.FamilyNames() {
 		g := graph.Families[name](30)
 		n := g.N()

@@ -42,46 +42,38 @@ func RunBroadcastLabeled(g *graph.Graph, l *Labeling, source int, mu string, tra
 }
 
 // RunBroadcastTuned executes B on a pre-labeled graph with engine tuning
-// (workers, round-bound override, trace, fault injection) layered onto the
-// scheme's default options. tune may be nil.
+// (round-bound override, trace, fault injection, cancellation) layered
+// onto the scheme's default options. tune may be nil.
 func RunBroadcastTuned(g *graph.Graph, l *Labeling, source int, mu string, tune *radio.Tuning) (*BroadcastOutcome, error) {
-	ps, base, asm := PlanBroadcast(g, l, source, mu)
-	return asm(radio.Run(g, ps, base.With(tune))), nil
-}
-
-// PlanBroadcast splits a B execution into its three ingredients — the
-// protocol vector, the scheme's base engine options, and an assemble
-// function that turns the engine Result into the outcome — so callers can
-// hand the middle step to a different driver (radio.RunBatch folds many
-// plans over one graph into a lockstep batch). RunBroadcastTuned is
-// exactly plan → Run → assemble.
-func PlanBroadcast(g *graph.Graph, l *Labeling, source int, mu string) ([]radio.Protocol, radio.Options, func(*radio.Result) *BroadcastOutcome) {
 	n := g.N()
-	ps := NewBProtocols(l.Labels, source, mu)
 	base := radio.Options{
 		MaxRounds:       2*n + 4,
 		StopAfterSilent: 3,
 	}
-	asm := func(res *radio.Result) *BroadcastOutcome {
-		out := &BroadcastOutcome{Result: res, Stages: l.Stages, Labels: l.Labels}
-		out.InformedRound = make([]int, n)
-		out.AllInformed = true
-		for v := 0; v < n; v++ {
-			if v == source {
-				continue
-			}
-			r := res.FirstReception(v, radio.KindData)
-			out.InformedRound[v] = r
-			if r == radio.NoReception {
-				out.AllInformed = false
-			}
-			if r > out.CompletionRound {
-				out.CompletionRound = r
-			}
+	res := radio.Run(g, NewBProtocols(l.Labels, source, mu), base.With(tune))
+	out := &BroadcastOutcome{Result: res, Stages: l.Stages, Labels: l.Labels}
+	out.InformedRound, out.AllInformed, out.CompletionRound = informedRounds(res, source)
+	return out, nil
+}
+
+// informedRounds reads each node's first KindData reception off a run:
+// the per-node rounds (0 for the source), whether everyone was reached,
+// and the latest of them.
+func informedRounds(res *radio.Result, source int) (rounds []int, all bool, completion int) {
+	rounds = make([]int, len(res.Receives))
+	all = true
+	for v := range rounds {
+		if v == source {
+			continue
 		}
-		return out
+		r := res.FirstReception(v, radio.KindData)
+		rounds[v] = r
+		if r == radio.NoReception {
+			all = false
+		}
+		completion = max(completion, r)
 	}
-	return ps, base, asm
+	return rounds, all, completion
 }
 
 // VerifyBroadcast checks the outcome against the paper's guarantees:
@@ -140,48 +132,22 @@ func RunAcknowledgedLabeled(g *graph.Graph, l *Labeling, source int, mu string) 
 // RunAcknowledgedTuned executes Back on a pre-labeled graph with engine
 // tuning layered onto the scheme's default options. tune may be nil.
 func RunAcknowledgedTuned(g *graph.Graph, l *Labeling, source int, mu string, tune *radio.Tuning) (*AckOutcome, error) {
-	ps, base, asm := PlanAcknowledged(g, l, source, mu)
-	return asm(radio.Run(g, ps, base.With(tune))), nil
-}
-
-// PlanAcknowledged is the plan/assemble split of RunAcknowledgedTuned
-// (see PlanBroadcast). The assemble closure reads the source protocol's
-// ack state, so it must be called on the Result of running exactly the
-// returned protocol vector.
-func PlanAcknowledged(g *graph.Graph, l *Labeling, source int, mu string) ([]radio.Protocol, radio.Options, func(*radio.Result) *AckOutcome) {
 	n := g.N()
 	ps := NewBackProtocols(l.Labels, source, mu)
-	src := ps[source].(*AlgBack)
 	base := radio.Options{
 		MaxRounds:       3*n + 6,
 		StopAfterSilent: 3,
 	}
-	asm := func(res *radio.Result) *AckOutcome {
-		out := &AckOutcome{Z: l.Z}
-		out.Result = res
-		out.Stages = l.Stages
-		out.Labels = l.Labels
-		out.InformedRound = make([]int, n)
-		out.AllInformed = true
-		for v := 0; v < n; v++ {
-			if v == source {
-				continue
-			}
-			r := res.FirstReception(v, radio.KindData)
-			out.InformedRound[v] = r
-			if r == radio.NoReception {
-				out.AllInformed = false
-			}
-			if r > out.CompletionRound {
-				out.CompletionRound = r
-			}
-		}
-		if src.AckDone {
-			out.AckRound = src.AckRound
-		}
-		return out
+	res := radio.Run(g, ps, base.With(tune))
+	out := &AckOutcome{Z: l.Z}
+	out.Result = res
+	out.Stages = l.Stages
+	out.Labels = l.Labels
+	out.InformedRound, out.AllInformed, out.CompletionRound = informedRounds(res, source)
+	if src := ps[source].(*AlgBack); src.AckDone {
+		out.AckRound = src.AckRound
 	}
-	return ps, base, asm
+	return out, nil
 }
 
 // VerifyAcknowledged checks Theorem 3.9 and Corollary 3.8: broadcast
@@ -289,24 +255,12 @@ func RunArbitraryLabeled(g *graph.Graph, l *Labeling, source int, mu string) (*A
 }
 
 // RunArbitraryTuned runs Barb on a pre-labeled graph with engine tuning
-// layered onto the scheme's default options. tune may be nil.
-func RunArbitraryTuned(g *graph.Graph, l *Labeling, source int, mu string, tune *radio.Tuning) (*ArbOutcome, error) {
-	ps, base, asm, err := PlanArbitrary(g, l, source, mu)
-	if err != nil {
-		return nil, err
-	}
-	return asm(radio.Run(g, ps, base.With(tune))), nil
-}
-
-// PlanArbitrary is the plan/assemble split of RunArbitraryTuned (see
-// PlanBroadcast). Both the base Stop predicate and the assemble closure
-// read per-node protocol state, so the Result handed to assemble must
-// come from running exactly the returned protocol vector. Errors for
+// layered onto the scheme's default options. tune may be nil. Errors for
 // n < 2 (Barb needs a coordinator and at least one other node).
-func PlanArbitrary(g *graph.Graph, l *Labeling, source int, mu string) ([]radio.Protocol, radio.Options, func(*radio.Result) *ArbOutcome, error) {
+func RunArbitraryTuned(g *graph.Graph, l *Labeling, source int, mu string, tune *radio.Tuning) (*ArbOutcome, error) {
 	n := g.N()
 	if n < 2 {
-		return nil, radio.Options{}, nil, fmt.Errorf("core: Barb needs n ≥ 2")
+		return nil, fmt.Errorf("core: Barb needs n ≥ 2")
 	}
 	ps := NewBarbProtocols(l.Labels, source, mu)
 	nodes := make([]*AlgBarb, n)
@@ -324,27 +278,25 @@ func PlanArbitrary(g *graph.Graph, l *Labeling, source int, mu string) ([]radio.
 			return true
 		},
 	}
-	asm := func(res *radio.Result) *ArbOutcome {
-		out := &ArbOutcome{
-			Result: res, Labels: l.Labels, R: l.R, Source: source,
-			MuKnownRound:       make([]int, n),
-			KnowsCompleteRound: make([]int, n),
-			AllKnowMu:          true,
-			TotalRounds:        res.Rounds,
-		}
-		for v, nd := range nodes {
-			if got, ok := nd.Mu(); !ok || got != mu {
-				out.AllKnowMu = false
-			}
-			out.MuKnownRound[v] = nd.MuKnownRound
-			out.KnowsCompleteRound[v] = nd.KnowsCompleteRound
-			if t, ok := nd.TValue(); ok && t > out.T {
-				out.T = t
-			}
-		}
-		return out
+	res := radio.Run(g, ps, base.With(tune))
+	out := &ArbOutcome{
+		Result: res, Labels: l.Labels, R: l.R, Source: source,
+		MuKnownRound:       make([]int, n),
+		KnowsCompleteRound: make([]int, n),
+		AllKnowMu:          true,
+		TotalRounds:        res.Rounds,
 	}
-	return ps, base, asm, nil
+	for v, nd := range nodes {
+		if got, ok := nd.Mu(); !ok || got != mu {
+			out.AllKnowMu = false
+		}
+		out.MuKnownRound[v] = nd.MuKnownRound
+		out.KnowsCompleteRound[v] = nd.KnowsCompleteRound
+		if t, ok := nd.TValue(); ok && t > out.T {
+			out.T = t
+		}
+	}
+	return out, nil
 }
 
 // VerifyArbitrary checks Barb's guarantees: every node learned µ with the

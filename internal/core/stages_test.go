@@ -195,7 +195,8 @@ func TestStagesSkipMinimalityStalls(t *testing.T) {
 func TestStagesRestrictedStallsOnRadius2(t *testing.T) {
 	// The conclusion's literal hint (DOM_i ⊆ DOM_{i−1}) cannot reach
 	// distance-2 nodes: DOM collapses to {source}, which does not dominate
-	// the distance-2 frontier. Documented in EXPERIMENTS.md §ONEBIT.
+	// the distance-2 frontier. Reported by experiment ONEBIT of
+	// internal/experiments.Registry (go run ./cmd/experiments -table ONEBIT).
 	_, err := BuildStages(graph.Path(3), 0, BuildOptions{Restricted: true})
 	if err == nil {
 		t.Fatal("expected restricted construction to stall on P3")

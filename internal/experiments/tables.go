@@ -2,8 +2,8 @@
 // Figure 1 and the quantitative content of its facts, lemmas and theorems
 // (the paper has no tables). Each experiment is a registered generator that
 // produces plain-text tables; the cmd/experiments tool and the root
-// bench_test.go harness both drive this registry, and EXPERIMENTS.md records
-// paper-versus-measured values for every entry.
+// bench_test.go harness both drive this registry. Regenerate one entry's
+// paper-versus-measured tables with `go run ./cmd/experiments -table <ID>`.
 package experiments
 
 import (
@@ -124,7 +124,8 @@ type Entry struct {
 	Gen  Generator
 }
 
-// Registry lists all experiments in EXPERIMENTS.md order.
+// Registry lists all experiments, in the order cmd/experiments runs them;
+// each ID is accepted by `go run ./cmd/experiments -table <ID>`.
 var Registry = []Entry{
 	{"FIG1", "Figure 1: example execution of algorithm B", Figure1Experiment},
 	{"T29", "Theorem 2.9: broadcast completes within 2n−3 rounds", Theorem29Experiment},
@@ -143,7 +144,6 @@ var Registry = []Entry{
 	{"ONEBIT", "§5: one-bit schemes for paths, cycles, grids; search study", OneBitExperiment},
 	{"FAULT", "Extension: single-transmission erasures vs algorithm B", FaultExperiment},
 	{"DEGRADE", "Extension: graceful degradation under adversarial fault models", DegradeExperiment},
-	{"PAR", "Infrastructure: parallel engine equivalence and speedup", ParallelExperiment},
 }
 
 // Groups names thematic experiment subsets for cmd/experiments' -table

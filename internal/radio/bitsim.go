@@ -7,8 +7,8 @@ import (
 	"radiobcast/internal/graph"
 )
 
-// This file is the bitset engine core: the sequential sparse engine
-// re-expressed over []uint64 bitsets so that both halves of a round —
+// This file is the radio engine: every production run goes through it.
+// Round state lives in []uint64 bitsets so that both halves of a round —
 // picking the nodes to step and resolving the radio channel — cost word
 // operations instead of per-node work.
 //
@@ -19,10 +19,10 @@ import (
 // in ⌈n/64⌉ ORs, where eager holds the nodes whose next wake is now or
 // every round (non-Wakers, and Wakers whose NextWake is ≤ round+1), and
 // a ring-bucket wake calendar re-activates Wakers whose NextWake lands
-// on this round. This makes a quiet round cost O(n/64 + active) — the
-// scalar engine's decide loop is O(n) per round even when nothing
-// happens, which is what capped the path family (BENCH_7: 6.5 ms for
-// n=1024, ~2n rounds of mostly-idle scanning).
+// on this round. This makes a quiet round cost O(n/64 + active) — a
+// scalar decide loop is O(n) per round even when nothing happens, which
+// is what capped the path family (BENCH_7: 6.5 ms for n=1024, ~2n rounds
+// of mostly-idle scanning).
 //
 // Resolution: each transmitter ORs its neighborhood slabs (graph.BitCSR)
 // into two carry-save accumulators — busy1 collects "covered by ≥ 1
@@ -32,12 +32,13 @@ import (
 // radio-off nodes masked out. Only single-reception listeners cost
 // per-node work (a slab scan finds their unique sender).
 //
-// The bitset engine produces Results bit-identical to the scalar engine
-// on every scheme × family × fault-model cell (pinned by the facade's
-// engine-mode matrix tests): the step set provably equals the scalar
-// engine's, and within a round the Result is order-independent (each
-// node transmits and receives at most once per round, collisions are
-// per-round counters).
+// The engine produces Results bit-identical to the dense reference loop
+// (reference.go) on every scheme × family × fault-model cell, traced and
+// churned runs included (pinned by the facade's engine-mode matrix
+// tests): a skipped node is one that would have returned Listen, and
+// within a round the Result is order-independent (each node transmits
+// and receives at most once per round, collisions are per-round
+// counters).
 
 // ringSize is the wake-calendar horizon (power of two). Wakes further
 // out than the horizon park in the bucket of their round modulo the
@@ -119,10 +120,8 @@ func (bs *bitState) reset(s *Sim) {
 	}
 }
 
-// bitLane is one run driven through the bitset core: a Sim plus the
-// round-loop bookkeeping the scalar loop keeps in locals. Sim.Run drives
-// a single lane; RunBatch drives several in lockstep over one graph, one
-// round across all lanes before the next (see batch.go).
+// bitLane is one run driven through the bitset engine: a Sim plus the
+// round-loop bookkeeping.
 type bitLane struct {
 	s    *Sim
 	csr  *graph.CSR
@@ -130,6 +129,7 @@ type bitLane struct {
 	opt  Options
 	fm   faults.Model
 	wm   faults.WordModel
+	topo faults.TopologyModel
 	fst  *faults.State
 
 	rounds, total, silent      int
@@ -138,8 +138,8 @@ type bitLane struct {
 }
 
 // init prepares the lane over an already-reset Sim (reset and fault
-// setup happen in the caller, shared with the scalar path).
-func (l *bitLane) init(s *Sim, csr *graph.CSR, opt Options, fm faults.Model, fst *faults.State) {
+// setup happen in the caller, shared with the reference loop).
+func (l *bitLane) init(s *Sim, csr *graph.CSR, opt Options, topo faults.TopologyModel, fst *faults.State) {
 	if s.bits == nil {
 		s.bits = &bitState{}
 	}
@@ -148,15 +148,20 @@ func (l *bitLane) init(s *Sim, csr *graph.CSR, opt Options, fm faults.Model, fst
 	l.csr = csr
 	l.bcsr = csr.Bits()
 	l.opt = opt
-	l.fm = fm
+	l.fm = opt.Faults
+	l.topo = topo
 	l.fst = fst
-	if fm != nil {
-		l.wm, _ = fm.(faults.WordModel)
+	if l.fm != nil {
+		l.wm, _ = l.fm.(faults.WordModel)
 	}
 }
 
-// finish materializes the lane's Result exactly as the scalar loop does.
-func (l *bitLane) finish() *Result {
+// run executes rounds until a stop condition holds and materializes the
+// Result.
+func (l *bitLane) run() *Result {
+	for round := 1; !l.done; round++ {
+		l.runRound(round)
+	}
 	res := l.s.materialize(l.rounds, l.total, l.silentStopped)
 	res.Interrupted = l.interrupted
 	l.s.release()
@@ -164,7 +169,7 @@ func (l *bitLane) finish() *Result {
 }
 
 // runRound executes one engine round; on the round that ends the run it
-// sets l.done (and materializes nothing — callers finish() after).
+// sets l.done.
 func (l *bitLane) runRound(round int) {
 	s := l.s
 	bs := s.bits
@@ -177,10 +182,17 @@ func (l *bitLane) runRound(round int) {
 	rxMark := len(s.rxNodes)
 
 	if s.faulted {
-		// Pre-step fault phase (Down/Wipe land before any protocol
-		// observes its pending reception). Effect words carry over
-		// between the two phases of a round, mirroring the effects
-		// slice contract, and are cleared here at the round boundary.
+		// Pre-step fault phase: swap in a churned topology (FreezeInto
+		// dropped the rebuilt CSR's stale slab cache), then land Down/Wipe
+		// before any protocol observes its pending reception. Effect words
+		// carry over between the two phases of a round, mirroring the
+		// effects slice contract, and are cleared here at the round
+		// boundary.
+		if l.topo != nil {
+			if t := l.topo.Topology(round); t != nil {
+				l.csr, l.bcsr = t, t.Bits()
+			}
+		}
 		clear(bs.jamW)
 		clear(bs.downW)
 		clear(bs.wipeW)
@@ -236,6 +248,9 @@ func (l *bitLane) runRound(round int) {
 			s.heard[t] = true
 		}
 	}
+	if l.opt.Trace != nil {
+		l.opt.Trace.record(round, s.txList, s.actions, s.rxNodes[rxMark:], s.rxRecs[rxMark:])
+	}
 	l.total += transmitted
 	s.cur = nx
 	l.rounds = round
@@ -281,8 +296,7 @@ func (l *bitLane) drainRing(round int) {
 
 // stepActive steps node v in the given round: Waker bookkeeping (lazy
 // Skip, rescheduling into eager or the wake calendar), the protocol
-// step, Down suppression, and transmitter collection — the bitset twin
-// of the scalar decide loop body.
+// step, Down suppression, and transmitter collection.
 func (l *bitLane) stepActive(v, round int) {
 	s := l.s
 	bs := s.bits
@@ -320,7 +334,9 @@ func (l *bitLane) stepActive(v, round int) {
 	}
 }
 
-// stepNodeBit is stepNode reading the word-packed channel state.
+// stepNodeBit invokes one protocol step on the word-packed channel state.
+// The received-message pointer aliases the Sim's buffer; Protocol
+// implementations must not retain it beyond the call (see Protocol).
 func (s *Sim) stepNodeBit(v int) Action {
 	bs := s.bits
 	wi, mask := v>>6, uint64(1)<<(uint(v)&63)

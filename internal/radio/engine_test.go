@@ -206,8 +206,8 @@ func TestTraceCapture(t *testing.T) {
 	}
 }
 
-// randomScripted builds random fixed schedules so the parallel/sequential
-// equivalence test exercises dense collision patterns.
+// randomScripted builds random fixed schedules so the engine-equivalence
+// test exercises dense collision patterns.
 func randomScripted(r *rand.Rand, n, horizon int) []Protocol {
 	ps := make([]Protocol, n)
 	for v := 0; v < n; v++ {
@@ -232,17 +232,20 @@ func resultsEqual(a, b *Result) bool {
 		reflect.DeepEqual(a.Collisions, b.Collisions)
 }
 
-func TestParallelEquivalentToSequential(t *testing.T) {
+// TestDenseCollisionsMatchReference checks the bitset engine against the
+// dense reference loop on random graphs whose nodes transmit in about a
+// third of all rounds, so most listeners see collisions.
+func TestDenseCollisionsMatchReference(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + r.Intn(60)
 		g := graph.GNPConnected(n, 0.2, seed)
 		horizon := 1 + r.Intn(20)
-		seqP := randomScripted(rand.New(rand.NewSource(seed+1)), n, horizon)
-		parP := randomScripted(rand.New(rand.NewSource(seed+1)), n, horizon)
-		seq := Run(g, seqP, Options{MaxRounds: horizon})
-		par := Run(g, parP, Options{MaxRounds: horizon, Workers: 1 + r.Intn(8)})
-		return resultsEqual(seq, par)
+		refP := randomScripted(rand.New(rand.NewSource(seed+1)), n, horizon)
+		gotP := randomScripted(rand.New(rand.NewSource(seed+1)), n, horizon)
+		ref := Run(g, refP, Options{MaxRounds: horizon, Reference: true})
+		got := Run(g, gotP, Options{MaxRounds: horizon})
+		return resultsEqual(ref, got)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

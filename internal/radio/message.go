@@ -4,8 +4,8 @@
 // round. There is no collision detection: silence and collision are
 // indistinguishable to the listener. The package provides the message
 // format with bit-size accounting, the deterministic per-node Protocol
-// interface, a sequential engine and an equivalent parallel engine, and
-// trace capture used to reproduce the paper's Figure 1.
+// interface, the bitset engine with a dense reference loop as its test
+// oracle, and trace capture used to reproduce the paper's Figure 1.
 package radio
 
 import (

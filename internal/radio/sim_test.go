@@ -3,6 +3,7 @@ package radio
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"radiobcast/internal/faults"
@@ -10,8 +11,8 @@ import (
 )
 
 // echo is a reactive test protocol: it retransmits whatever it hears,
-// delay rounds after hearing it. It does not implement Waker, so sparse
-// runs must still step it whenever it can act.
+// delay rounds after hearing it. It does not implement Waker, so the
+// bitset engine must still step it whenever it can act.
 type echo struct {
 	round   int
 	sendAt  int
@@ -46,7 +47,7 @@ func (e *wakingEcho) Skip(rounds int) { e.round += rounds }
 
 // randomProtocols builds a mixed population over n nodes: scripted
 // transmitters (Waker), waking echoes (Waker) and plain echoes (stepped
-// densely even in sparse mode), deterministically from seed.
+// every round by the bitset engine too), deterministically from seed.
 func randomProtocols(n int, seed int64) []Protocol {
 	r := rand.New(rand.NewSource(seed))
 	ps := make([]Protocol, n)
@@ -74,31 +75,28 @@ func testGraphs(t testing.TB) map[string]*graph.Graph {
 		"grid":   graph.Grid(5, 5),
 		"gnp":    graph.GNPConnected(40, 0.12, 7),
 		"figure": graph.Figure1(),
+		// Spans four 64-node words, so a round's deliveries reach the
+		// bitset engine's logs out of node order.
+		"gnp-wide": graph.GNPConnected(200, 0.03, 11),
 	}
 }
 
-// TestSparseMatchesDense pins the sparse-wakeup contract: every engine
-// mode (sparse push, sparse parallel pull, dense sequential, dense
-// parallel) produces bit-identical Results on mixed Waker/non-Waker
-// protocol populations.
+// TestSparseMatchesDense pins the sparse-wakeup contract: the bitset
+// engine, which skips Wakers between their NextWake hints, produces
+// Results and traces bit-identical to the dense reference loop, which
+// steps every node every round, on mixed Waker/non-Waker protocol
+// populations.
 func TestSparseMatchesDense(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		for seed := int64(1); seed <= 4; seed++ {
-			opt := Options{MaxRounds: 60}
-			ref := Run(g, randomProtocols(g.N(), seed), Options{MaxRounds: 60, DisableSparse: true})
-			modes := []struct {
-				mode string
-				opt  Options
-			}{
-				{"sparse-seq", opt},
-				{"sparse-par", Options{MaxRounds: 60, Workers: 4}},
-				{"dense-par", Options{MaxRounds: 60, Workers: 4, DisableSparse: true}},
+			refTr, gotTr := &Trace{}, &Trace{}
+			ref := Run(g, randomProtocols(g.N(), seed), Options{MaxRounds: 60, Reference: true, Trace: refTr})
+			got := Run(g, randomProtocols(g.N(), seed), Options{MaxRounds: 60, Trace: gotTr})
+			if !resultsEqual(ref, got) {
+				t.Fatalf("%s seed=%d: bitset engine diverged from dense reference", name, seed)
 			}
-			for _, m := range modes {
-				got := Run(g, randomProtocols(g.N(), seed), m.opt)
-				if !resultsEqual(ref, got) {
-					t.Fatalf("%s seed=%d: %s diverged from dense reference", name, seed, m.mode)
-				}
+			if !reflect.DeepEqual(refTr, gotTr) {
+				t.Fatalf("%s seed=%d: bitset engine's trace diverged from dense reference", name, seed)
 			}
 		}
 	}
@@ -110,10 +108,10 @@ func TestSparseMatchesDense(t *testing.T) {
 func TestSparseMatchesDenseWithFaults(t *testing.T) {
 	drop := func(node, round int) bool { return (node+round)%5 == 0 }
 	for name, g := range testGraphs(t) {
-		ref := Run(g, randomProtocols(g.N(), 3), Options{MaxRounds: 60, Faults: faults.DropFunc(drop), DisableSparse: true})
+		ref := Run(g, randomProtocols(g.N(), 3), Options{MaxRounds: 60, Faults: faults.DropFunc(drop), Reference: true})
 		got := Run(g, randomProtocols(g.N(), 3), Options{MaxRounds: 60, Faults: faults.DropFunc(drop)})
 		if !resultsEqual(ref, got) {
-			t.Fatalf("%s: sparse diverged from dense under faults", name)
+			t.Fatalf("%s: bitset engine diverged from dense reference under faults", name)
 		}
 	}
 }
@@ -137,11 +135,11 @@ func TestSimReuse(t *testing.T) {
 	var fresh []*Result
 	for _, r := range runs {
 		kept = append(kept, sim.Run(r.g, randomProtocols(r.g.N(), r.seed), Options{MaxRounds: 50}))
-		fresh = append(fresh, Run(r.g, randomProtocols(r.g.N(), r.seed), Options{MaxRounds: 50, DisableSparse: true}))
+		fresh = append(fresh, Run(r.g, randomProtocols(r.g.N(), r.seed), Options{MaxRounds: 50, Reference: true}))
 	}
 	for i := range runs {
 		if !resultsEqual(kept[i], fresh[i]) {
-			t.Fatalf("run %d: reused Sim diverged from fresh dense run", i)
+			t.Fatalf("run %d: reused Sim diverged from fresh reference run", i)
 		}
 	}
 	if !resultsEqual(kept[0], kept[3]) {
@@ -149,9 +147,10 @@ func TestSimReuse(t *testing.T) {
 	}
 }
 
-// TestWakerSkipAccounting checks that a protocol skipped by the sparse
+// TestWakerSkipAccounting checks that a protocol skipped by the bitset
 // engine observes exactly the same local round numbering as under the
-// dense engine: Scripted's own transmissions land in the scheduled rounds.
+// reference loop: Scripted's own transmissions land in the scheduled
+// rounds.
 func TestWakerSkipAccounting(t *testing.T) {
 	g := graph.Path(3)
 	mk := func() []Protocol {

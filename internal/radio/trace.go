@@ -1,7 +1,9 @@
 package radio
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -31,21 +33,22 @@ type TraceRx struct {
 	Msg  Message
 }
 
-func (t *Trace) record(round int, actions []Action, heardMsg []Message, heardSet []bool) {
+// record appends one round: the transmitters (ascending, as both engine
+// loops collect them) with their messages, and the deliveries sorted by
+// node (the bitset engine logs them in word first-touch order).
+func (t *Trace) record(round int, tx []int32, actions []Action, rxNodes []int32, rxRecs []Reception) {
+	if len(tx) == 0 && len(rxNodes) == 0 {
+		return
+	}
 	tr := TraceRound{Round: round}
-	for v, a := range actions {
-		if a.Transmit {
-			tr.Transmitters = append(tr.Transmitters, TraceTx{Node: v, Msg: a.Msg})
-		}
+	for _, v := range tx {
+		tr.Transmitters = append(tr.Transmitters, TraceTx{Node: int(v), Msg: actions[v].Msg})
 	}
-	for v, ok := range heardSet {
-		if ok {
-			tr.Deliveries = append(tr.Deliveries, TraceRx{Node: v, Msg: heardMsg[v]})
-		}
+	for i, v := range rxNodes {
+		tr.Deliveries = append(tr.Deliveries, TraceRx{Node: int(v), Msg: rxRecs[i].Msg})
 	}
-	if len(tr.Transmitters) > 0 || len(tr.Deliveries) > 0 {
-		t.Rounds = append(t.Rounds, tr)
-	}
+	slices.SortFunc(tr.Deliveries, func(a, b TraceRx) int { return cmp.Compare(a.Node, b.Node) })
+	t.Rounds = append(t.Rounds, tr)
 }
 
 // String renders the trace round by round.

@@ -27,7 +27,7 @@ func LabelNetworkCtx(ctx context.Context, net *Network, scheme string, opts ...O
 
 // Run labels the network with the named scheme and executes one broadcast:
 //
-//	out, err := radiobcast.Run(net, "barb", radiobcast.WithWorkers(-1))
+//	out, err := radiobcast.Run(net, "barb", radiobcast.WithMessage("µ"))
 //
 // A run whose broadcast does not complete is NOT an error — inspect
 // out.AllInformed or call Verify(out), which checks the scheme's full
@@ -225,22 +225,15 @@ func (c *Config) sourceOr(fallback int) int {
 	return fallback
 }
 
-// finish runs the scheme and decorates the outcome.
+// finish runs the scheme and fills the outcome fields common to all
+// schemes, so adapters only populate what is specific to them. When the
+// run was cut short by the Config's context, the partial outcome is
+// returned together with the ctx error.
 func finish(s Scheme, l *Labeling, source int, cfg *Config) (*Outcome, error) {
 	out, err := s.Run(l, source, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return decorate(out, s, l, source, cfg)
-}
-
-// decorate fills the outcome fields common to all schemes, so adapters
-// only populate what is specific to them. It is the post-run half of
-// finish, split out so the sweep's batch folding — which obtains the raw
-// Outcome through a scheme's plan/assemble seam instead of Run — applies
-// the same finishing touches. When the run was cut short by the Config's
-// context, the partial outcome is returned together with the ctx error.
-func decorate(out *Outcome, s Scheme, l *Labeling, source int, cfg *Config) (*Outcome, error) {
 	out.Scheme = s.Name()
 	out.Graph = l.Graph
 	out.Source = source
@@ -251,8 +244,5 @@ func decorate(out *Outcome, s Scheme, l *Labeling, source int, cfg *Config) (*Ou
 		out.Labeling = l
 	}
 	out.Coverage, out.Degraded = degradation(out)
-	if err := ctxErr(cfg.ctx); err != nil {
-		return out, err
-	}
-	return out, nil
+	return out, ctxErr(cfg.ctx)
 }

@@ -2,7 +2,8 @@
 # scripts/bench.sh — run the benchmark suite and record the results as
 # BENCH_<n>.json at the repository root, so the performance trajectory of
 # the hot paths is tracked PR over PR (BENCH_4.json is the pre-refactor
-# baseline this series is measured against).
+# baseline this series is measured against). The envelope records the date,
+# Go version, CPU, nproc and GOMAXPROCS next to the results.
 #
 # Usage:
 #   scripts/bench.sh <n> [bench-regex] [benchtime]
@@ -38,6 +39,9 @@ trap 'rm -f "$raw"' EXIT
 go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" . | tee "$raw"
 
 cpu="$(awk -F': ' '/^cpu:/ {print $2; exit}' "$raw")"
+nproc="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)"
+# go test suffixes every benchmark name with -<GOMAXPROCS> unless it is 1.
+gomaxprocs="$(awk '/^Benchmark/ { if (match($1, /-[0-9]+$/)) print substr($1, RSTART + 1); else print 1; exit }' "$raw")"
 
 {
   printf '{\n'
@@ -47,10 +51,14 @@ cpu="$(awk -F': ' '/^cpu:/ {print $2; exit}' "$raw")"
   printf '  "date": "%s",\n' "$(date -u +%Y-%m-%d)"
   printf '  "go": "%s",\n' "$(go version | awk '{print $3}')"
   printf '  "cpu": "%s",\n' "$cpu"
+  printf '  "nproc": %s,\n' "$nproc"
+  printf '  "gomaxprocs": %s,\n' "${gomaxprocs:-1}"
   printf '  "benchmarks": [\n'
-  awk '
+  awk -v procs="${gomaxprocs:-1}" '
     /^Benchmark/ {
-      line = sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", $1, $2, $3, $5, $7)
+      name = $1
+      if (procs != 1) sub("-" procs "$", "", name)
+      line = sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", name, $2, $3, $5, $7)
       if (count++) printf(",\n")
       printf("%s", line)
     }

@@ -24,10 +24,11 @@ func sameResults(a, b *radio.Result) bool {
 		reflect.DeepEqual(a.Collisions, b.Collisions)
 }
 
-// TestEngineModesBitIdentical pins the refactor's core contract on the
-// full scheme × family matrix: the sparse-wakeup fast path, the dense
-// reference engine and the parallel engine produce bit-identical raw
-// Results (not just equal summaries) over one shared labeling.
+// TestEngineModesBitIdentical pins the engine's core contract on the full
+// scheme × family matrix: the bitset engine — plain, on a caller-owned
+// Sim, and traced — produces raw Results (not just equal summaries) and
+// traces bit-identical to the dense reference loop over one shared
+// labeling.
 func TestEngineModesBitIdentical(t *testing.T) {
 	type fam struct {
 		name string
@@ -64,13 +65,12 @@ func TestEngineModesBitIdentical(t *testing.T) {
 					}
 					return out
 				}
-				ref := run(radiobcast.WithDenseEngine())
+				refTr, gotTr := &radiobcast.Trace{}, &radiobcast.Trace{}
+				ref := run(radiobcast.WithReferenceEngine(), radiobcast.WithTrace(refTr))
 				for mode, out := range map[string]*radiobcast.Outcome{
-					"sparse":         run(),
-					"sparse-sim":     run(radiobcast.WithSim(radiobcast.NewSim())),
-					"scalar":         run(radiobcast.WithScalarEngine()),
-					"parallel":       run(radiobcast.WithWorkers(4)),
-					"dense-parallel": run(radiobcast.WithDenseEngine(), radiobcast.WithWorkers(4)),
+					"bitset":        run(),
+					"bitset-sim":    run(radiobcast.WithSim(radiobcast.NewSim())),
+					"bitset-traced": run(radiobcast.WithTrace(gotTr)),
 				} {
 					if !sameResults(ref.Result, out.Result) {
 						t.Fatalf("mode %s diverged from the dense reference engine", mode)
@@ -79,14 +79,18 @@ func TestEngineModesBitIdentical(t *testing.T) {
 						t.Fatalf("mode %s: informed rounds differ", mode)
 					}
 				}
+				if !reflect.DeepEqual(refTr, gotTr) {
+					t.Fatal("bitset engine's trace diverged from the dense reference engine's")
+				}
 			})
 		}
 	}
 }
 
-// TestWithTraceMatchesResult cross-checks the WithTrace facade path: the
-// trace's per-round transmitter and delivery records must agree exactly
-// with the Result's per-node transmit/receive logs.
+// TestWithTraceMatchesResult cross-checks the WithTrace facade path, which
+// runs on the bitset engine like every other run: the trace's per-round
+// transmitter and delivery records must agree exactly with the Result's
+// per-node transmit/receive logs.
 func TestWithTraceMatchesResult(t *testing.T) {
 	for _, scheme := range []string{"b", "back", "centralized"} {
 		t.Run(scheme, func(t *testing.T) {
