@@ -21,15 +21,15 @@ func main() {
 	ctx := context.Background()
 
 	// A request stream with recurring topologies: only the first request
-	// per topology pays the labeling, the rest are cache hits served by a
-	// pooled engine.
+	// per topology builds its graph (the Session's graph memo) and pays
+	// the labeling; the rest are cache hits served by a pooled engine.
 	for i, req := range []struct {
 		family string
 		n      int
 	}{
 		{"grid", 64}, {"path", 32}, {"grid", 64}, {"grid", 64}, {"path", 32},
 	} {
-		net, err := radiobcast.Family(req.family, req.n)
+		net, err := sess.Family(req.family, req.n)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -41,8 +41,8 @@ func main() {
 			i, req.family, out.Graph.N(), out.CompletionRound)
 	}
 	st := sess.Stats()
-	fmt.Printf("cache after 5 requests: %d hits, %d misses, %d entries\n\n",
-		st.Hits, st.Misses, st.Entries)
+	fmt.Printf("cache after 5 requests: %d hits, %d misses, %d entries; %d graphs built\n\n",
+		st.Hits, st.Misses, st.Entries, st.GraphBuilds)
 
 	// A deadline-bounded job: the engine checks the context between
 	// rounds, so an oversized broadcast stops promptly and still reports

@@ -224,18 +224,24 @@ func GNPConnected(n int, p float64, seed int64) *Graph {
 		return StreamGNPConnected(n, p, seed)
 	}
 	r := rand.New(rand.NewSource(seed))
-	g := New(n)
+	parent := make([]int, n)
 	for i := 1; i < n; i++ {
-		g.AddEdge(i, r.Intn(i))
+		parent[i] = r.Intn(i)
 	}
+	// Pair (i, j), i < j, is already an edge exactly when it is j's tree
+	// edge: the pairs before it added only pairs, never (i, j) itself. So
+	// a tree edge takes no draw, and every other pair draws once, in the
+	// same order as a per-pair HasEdge test would. Visiting pairs in
+	// lexicographic order emits the edge keys already sorted.
+	edges := make([]int64, 0, n+int(p*float64(n)*float64(n-1)/2))
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if !g.HasEdge(i, j) && r.Float64() < p {
-				g.AddEdge(i, j)
+			if parent[j] == i || r.Float64() < p {
+				edges = append(edges, int64(i)*int64(n)+int64(j))
 			}
 		}
 	}
-	return g
+	return fromEdgeKeys(n, edges)
 }
 
 // RandomRadius2 returns a random connected graph in which every node is at

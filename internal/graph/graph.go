@@ -9,6 +9,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"radiobcast/internal/nodeset"
 )
@@ -26,6 +27,11 @@ type Graph struct {
 
 	fp      uint64 // cached structural hash (see Fingerprint)
 	fpValid bool
+
+	// adjOnce guards the lazy materialization of adj for FromCSR graphs
+	// (see ensureAdj), which concurrent readers of a shared graph may
+	// trigger at the same time.
+	adjOnce sync.Once
 }
 
 // New returns an edgeless graph with n nodes.

@@ -29,26 +29,27 @@ func FromCSR(c *CSR) *Graph {
 }
 
 // ensureAdj materializes the [][]int adjacency of a FromCSR graph on
-// first use. Graphs built through New always have adj set, so the check
-// is a nil test on every other path.
+// first use. Graphs built through New always have adj set, so for them
+// the once only records that. The sync.Once makes the materialization
+// safe when a frozen graph is shared read-only across goroutines and
+// several of them reach for the adjacency at once (Edges, Clone).
 func (g *Graph) ensureAdj() {
+	g.adjOnce.Do(g.materializeAdj)
+}
+
+func (g *Graph) materializeAdj() {
 	if g.adj != nil {
 		return
 	}
-	g.adj = make([][]int, g.n)
 	if g.csr == nil {
+		g.adj = make([][]int, g.n)
 		return
 	}
 	backing := make([]int, len(g.csr.Targets))
 	for i, t := range g.csr.Targets {
 		backing[i] = int(t)
 	}
-	for v := 0; v < g.n; v++ {
-		// Full-slice expressions cap each node's slice at its own row, so a
-		// later AddEdge append reallocates instead of clobbering the next
-		// node's neighbours in the shared backing array.
-		g.adj[v] = backing[g.csr.Offsets[v]:g.csr.Offsets[v+1]:g.csr.Offsets[v+1]]
-	}
+	g.adj = rows(backing, g.csr.Offsets)
 }
 
 // StreamGNPConnected is the streaming form of GNPConnected for large n:
@@ -97,10 +98,26 @@ func StreamGNPConnected(n int, p float64, seed int64) *Graph {
 }
 
 // edgesToCSR assembles sorted, deduplicated i*n+j edge keys (i < j) into
-// a CSR in two counting passes. Per-node target lists come out ascending:
-// for node v, the sub-v neighbours arrive while scanning rows 0..v-1 in
-// order, then v's own row appends the super-v neighbours in order.
+// a CSR (see assemble).
 func edgesToCSR(n int, edges []int64) *CSR {
+	offsets, targets := assemble[int32](n, edges)
+	return &CSR{Offsets: offsets, Targets: targets}
+}
+
+// fromEdgeKeys builds a Graph from sorted, deduplicated i*n+j edge keys
+// (i < j) in one bulk pass, with its adjacency lists cut from a single
+// backing array, instead of growing them edge by edge through AddEdge.
+func fromEdgeKeys(n int, edges []int64) *Graph {
+	offsets, backing := assemble[int](n, edges)
+	return &Graph{n: n, m: len(edges), adj: rows(backing, offsets)}
+}
+
+// assemble lays out sorted, deduplicated i*n+j edge keys (i < j) as CSR
+// offsets plus concatenated per-node targets, in two counting passes.
+// Per-node target lists come out ascending: for node v, the sub-v
+// neighbours arrive while scanning rows 0..v-1 in order, then v's own row
+// appends the super-v neighbours in order.
+func assemble[T int | int32](n int, edges []int64) ([]int32, []T) {
 	offsets := make([]int32, n+1)
 	for _, key := range edges {
 		i, j := key/int64(n), key%int64(n)
@@ -110,15 +127,27 @@ func edgesToCSR(n int, edges []int64) *CSR {
 	for v := 0; v < n; v++ {
 		offsets[v+1] += offsets[v]
 	}
-	targets := make([]int32, 2*len(edges))
+	targets := make([]T, 2*len(edges))
 	cursor := make([]int32, n)
 	copy(cursor, offsets[:n])
 	for _, key := range edges {
-		i, j := int32(key/int64(n)), int32(key%int64(n))
-		targets[cursor[i]] = j
+		i, j := key/int64(n), key%int64(n)
+		targets[cursor[i]] = T(j)
 		cursor[i]++
-		targets[cursor[j]] = i
+		targets[cursor[j]] = T(i)
 		cursor[j]++
 	}
-	return &CSR{Offsets: offsets, Targets: targets}
+	return offsets, targets
+}
+
+// rows slices a concatenated adjacency array into per-node lists.
+// Full-slice expressions cap each node's slice at its own row, so a
+// later AddEdge append reallocates instead of clobbering the next node's
+// neighbours in the shared backing array.
+func rows(backing []int, offsets []int32) [][]int {
+	adj := make([][]int, len(offsets)-1)
+	for v := range adj {
+		adj[v] = backing[offsets[v]:offsets[v+1]:offsets[v+1]]
+	}
+	return adj
 }

@@ -5,6 +5,7 @@ package graph
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -122,5 +123,35 @@ func TestEdgesToCSRAscendingTargets(t *testing.T) {
 	}
 	if got := c.Targets[c.Offsets[3]:c.Offsets[4]]; !reflect.DeepEqual(got, []int32{0, 1, 4, 5}) {
 		t.Fatalf("node 3 row = %v", got)
+	}
+}
+
+// TestSharedLazyAdjacencyRace: goroutines sharing one frozen FromCSR
+// graph may all trigger the lazy adjacency materialization at once (two
+// concurrent reads of a cached labeling's graph both call Edges). Run
+// under -race; every reader must also see the complete adjacency.
+func TestSharedLazyAdjacencyRace(t *testing.T) {
+	const n = streamGNPThreshold + 10000
+	g := StreamGNPConnected(n, 2.0/n, 7)
+	g.Freeze()
+	g.Fingerprint()
+	var wg sync.WaitGroup
+	counts := make([]int, 4)
+	for w := range counts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if w%2 == 0 {
+				counts[w] = len(g.Edges())
+			} else {
+				counts[w] = g.Clone().M()
+			}
+		}()
+	}
+	wg.Wait()
+	for w, c := range counts {
+		if c != g.M() {
+			t.Fatalf("reader %d saw %d edges, want %d", w, c, g.M())
+		}
 	}
 }

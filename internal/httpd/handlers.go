@@ -90,7 +90,7 @@ func (s *Server) buildNetwork(spec client.GraphSpec) (*radiobcast.Network, *http
 		if spec.N > s.cfg.MaxGraphN {
 			return nil, limitExceeded("graph size %d exceeds the limit of %d nodes", spec.N, s.cfg.MaxGraphN)
 		}
-		net, err := radiobcast.Family(spec.Family, spec.N)
+		net, err := s.sess.Family(spec.Family, spec.N)
 		if err != nil {
 			return nil, badRequest("%v", err)
 		}

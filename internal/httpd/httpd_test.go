@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -375,6 +376,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`radiobcastd_session_cache_hits_total 2`,
 		`radiobcastd_session_cache_misses_total 1`,
 		`radiobcastd_session_cache_entries 1`,
+		`radiobcastd_session_graph_builds_total 1`,
+		`radiobcastd_session_graph_hits_total 3`,
 		`radiobcastd_in_flight{endpoint="run"} 0`,
 		`radiobcastd_sweep_slots 2`,
 		`radiobcastd_draining 0`,
@@ -386,6 +389,63 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if !strings.Contains(text, `radiobcastd_request_seconds_count{endpoint="run"} 4`) {
 		t.Errorf("latency summary missing or wrong count:\n%s", text)
+	}
+}
+
+// TestConcurrentSharedFamilyGraph fires concurrent /v1/run (clean and
+// under topology churn, which clones the graph) and /v1/label (which
+// serializes it) at one family key, so every request shares the Session's
+// memoized graph. Run under -race; after the warm-up request builds the
+// graph, every request is a memo hit.
+func TestConcurrentSharedFamilyGraph(t *testing.T) {
+	srv, _, c := newTestServer(t, httpd.Config{})
+	ctx := context.Background()
+	spec := client.GraphSpec{Family: "gnp-sparse", N: 200}
+	churn := &radiobcast.FaultSpec{Model: radiobcast.FaultModelChurn, Events: []radiobcast.ChurnEvent{
+		{Round: 2, Add: false, U: 0, V: 1}, {Round: 3, Add: true, U: 0, V: 199},
+	}}
+	if _, err := c.Run(ctx, client.RunRequest{Graph: spec, Scheme: "b"}); err != nil {
+		t.Fatal(err)
+	}
+	const clients, reqs = 6, 4
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < reqs; j++ {
+				var err error
+				switch (i + j) % 3 {
+				case 0:
+					var out *client.RunResponse
+					if out, err = c.Run(ctx, client.RunRequest{Graph: spec, Scheme: "b"}); err == nil && !out.Verified {
+						t.Errorf("clean run not verified: %+v", out)
+					}
+				case 1:
+					_, err = c.Run(ctx, client.RunRequest{Graph: spec, Scheme: "b", Fault: churn})
+				case 2:
+					var l *radiobcast.Labeling
+					if l, _, err = c.Label(ctx, client.LabelRequest{Graph: spec, Scheme: "back", Source: i}); err == nil && l.Source != i {
+						t.Errorf("label for source %d came back with source %d", i, l.Source)
+					}
+				}
+				if err != nil {
+					t.Errorf("request %d/%d: %v", i, j, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := srv.Session().Stats(); st.GraphBuilds != 1 || st.GraphHits != clients*reqs {
+		t.Fatalf("graph memo stats %+v, want 1 build and %d hits", st, clients*reqs)
+	}
+	shared, err := srv.Session().Family(spec.Family, spec.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, _ := radiobcast.Family(spec.Family, spec.N)
+	if !reflect.DeepEqual(shared.Graph.Edges(), fresh.Graph.Edges()) {
+		t.Fatal("a request mutated the shared graph")
 	}
 }
 

@@ -356,6 +356,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) int {
 		{"radiobcastd_session_store_writes_total", "Labelings persisted to the disk store.", "counter", float64(st.StoreWrites)},
 		{"radiobcastd_session_store_bytes", "Total size of stored labeling blobs.", "gauge", float64(st.StoreBytes)},
 		{"radiobcastd_session_store_entries", "Labelings currently in the disk store.", "gauge", float64(st.StoreEntries)},
+		{"radiobcastd_session_graph_hits_total", "Family graphs served from the Session's graph memo.", "counter", float64(st.GraphHits)},
+		{"radiobcastd_session_graph_builds_total", "Family graphs generated by the Session (graph-memo misses).", "counter", float64(st.GraphBuilds)},
 		{"radiobcastd_sweeps_in_flight", "Sweeps currently holding a pool slot.", "gauge", float64(len(s.sweepSem))},
 		{"radiobcastd_sweep_slots", "Size of the sweep pool.", "gauge", float64(cap(s.sweepSem))},
 		{"radiobcastd_draining", "1 once graceful drain has begun.", "gauge", boolGauge(s.draining.Load())},

@@ -28,9 +28,16 @@ import (
 // single-flighted: one computes, the rest wait for it and share the
 // result. Stats reports hits, misses, coalesced waits and evictions.
 //
+// Family builds each family member once per Session: it memoizes the
+// frozen, fingerprinted graph per (family, n), so serving a family-named
+// request neither regenerates the topology nor re-hashes it, and every
+// labeling of one member refers to one graph. Memoized graphs are shared
+// and read-only; clone one before mutating it.
+//
 // One caveat inherited from Graph's lazy caches (Freeze, Fingerprint):
-// when a single *Graph value is shared by concurrent Runs, call its
-// Freeze once before handing it out — afterwards all uses are read-only.
+// when a single *Graph value of your own is shared by concurrent Runs,
+// call its Freeze and Fingerprint once before handing it out — afterwards
+// all uses are read-only. Graphs from Session.Family come that way.
 type Session struct {
 	sims sync.Pool
 
@@ -66,6 +73,30 @@ type Session struct {
 	// key becomes the leader and computes; later misses on the same key
 	// wait on the flight instead of burning a core each on identical work.
 	flights map[labelingKey]*flight
+
+	// graphs memoizes built family graphs (see Family), most recent
+	// first, bounded by capacity like the labeling LRU.
+	graphs     list.List // of *graphEntry
+	graphIndex map[graphKey]*list.Element
+
+	graphHits, graphBuilds atomic.Uint64
+}
+
+// graphKey identifies a memoized family graph: the arguments of Family.
+type graphKey struct {
+	family string
+	n      int
+}
+
+// graphEntry is one memoized family member. net is the template every
+// Family call copies: the shared graph plus its preset roles and name.
+// The building call fills net or err, then closes ready; other calls
+// read them only after ready is closed.
+type graphEntry struct {
+	key   graphKey
+	ready chan struct{}
+	net   Network
+	err   error
 }
 
 // flight is one in-progress labeling computation. The leader fills l/err
@@ -130,6 +161,12 @@ type SessionStats struct {
 	StoreBytes uint64
 	// StoreEntries is the current number of stored labelings.
 	StoreEntries int
+
+	// GraphHits counts Family calls served from the graph memo.
+	GraphHits uint64
+	// GraphBuilds counts family graphs Family generated (memo misses,
+	// and every call when the capacity is 0).
+	GraphBuilds uint64
 }
 
 // SessionOption configures NewSession.
@@ -189,6 +226,7 @@ func NewSession(opts ...SessionOption) *Session {
 		storePreload: -1,
 		index:        map[labelingKey]*list.Element{},
 		flights:      map[labelingKey]*flight{},
+		graphIndex:   map[graphKey]*list.Element{},
 	}
 	s.sims.New = func() any { return NewSim() }
 	for _, o := range opts {
@@ -259,6 +297,8 @@ func (s *Session) Stats() SessionStats {
 		StoreHits:   s.storeHits.Load(),
 		StoreMisses: s.storeMisses.Load(),
 		StoreWrites: s.storeWrites.Load(),
+		GraphHits:   s.graphHits.Load(),
+		GraphBuilds: s.graphBuilds.Load(),
 	}
 	if s.store != nil {
 		st.StoreBytes = uint64(s.store.Bytes())
@@ -369,6 +409,82 @@ func (s *Session) Close(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
+}
+
+// Family is the Session's memoized form of the package-level Family. It
+// returns a fresh *Network each call, so At and Coordinated on it never
+// reach another caller, around a graph shared by every call for the same
+// (name, n). The graph is frozen and fingerprinted before anyone sees it
+// and is read-only from then on: do not mutate it (Clone it first).
+//
+// The memo is an LRU bounded by the labeling-cache capacity
+// (WithLabelingCache); with capacity 0 every call builds afresh. Graphs
+// are generated outside the session lock. The first call for a member
+// inserts its entry and builds; calls that race it wait for that build
+// and adopt the published graph, so a member is built once and every
+// labeling of it refers to one graph. Failed builds (unknown families)
+// return Family's error and are not memoized; "figure1" keeps its preset
+// source.
+func (s *Session) Family(name string, n int) (*Network, error) {
+	if s.capacity <= 0 {
+		return s.buildFamily(name, n)
+	}
+	key := graphKey{name, n}
+	s.mu.Lock()
+	if el, ok := s.graphIndex[key]; ok {
+		s.graphs.MoveToFront(el)
+		s.mu.Unlock()
+		e := el.Value.(*graphEntry)
+		<-e.ready
+		if e.err != nil {
+			return nil, e.err
+		}
+		s.graphHits.Add(1)
+		net := e.net
+		return &net, nil
+	}
+	e := &graphEntry{key: key, ready: make(chan struct{})}
+	s.graphIndex[key] = s.graphs.PushFront(e)
+	for s.graphs.Len() > s.capacity {
+		oldest := s.graphs.Back()
+		s.graphs.Remove(oldest)
+		delete(s.graphIndex, oldest.Value.(*graphEntry).key)
+	}
+	s.mu.Unlock()
+
+	// A generator panic leaves this error in place for the waiters.
+	e.err = fmt.Errorf("radiobcast: building %s/%d aborted", name, n)
+	defer func() {
+		if e.err != nil {
+			s.mu.Lock()
+			if el, ok := s.graphIndex[key]; ok && el.Value == e {
+				s.graphs.Remove(el)
+				delete(s.graphIndex, key)
+			}
+			s.mu.Unlock()
+		}
+		close(e.ready)
+	}()
+	net, err := s.buildFamily(name, n)
+	if err != nil {
+		e.err = err
+		return nil, err
+	}
+	e.net, e.err = *net, nil
+	return net, nil
+}
+
+// buildFamily generates one family member, frozen and fingerprinted so
+// it can be shared read-only.
+func (s *Session) buildFamily(name string, n int) (*Network, error) {
+	net, err := Family(name, n)
+	if err != nil {
+		return nil, err
+	}
+	s.graphBuilds.Add(1)
+	net.Graph.Freeze()
+	net.Graph.Fingerprint()
+	return net, nil
 }
 
 // Label resolves the network and returns the scheme's labeling, serving
