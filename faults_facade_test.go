@@ -36,8 +36,9 @@ func faultMatrix() map[string]radiobcast.FaultSpec {
 // TestEngineModesBitIdenticalFaulted extends the engine-equivalence
 // contract to the fault subsystem: under every fault model — topology
 // churn included, which swaps the bitset engine's graph mid-run — the
-// bitset engine produces raw Results, traces and degradation metrics
-// bit-identical to the dense reference loop over one shared labeling.
+// bitset engine produces raw Results, traces, degradation metrics and
+// completion knowledge bit-identical to the dense reference loop over one
+// shared labeling, for every scheme the sweep-grid benchmark runs.
 // Each run materializes its own model instance from the same spec, so
 // this also pins that (model, seed) fully determines the fault pattern.
 func TestEngineModesBitIdenticalFaulted(t *testing.T) {
@@ -45,7 +46,11 @@ func TestEngineModesBitIdenticalFaulted(t *testing.T) {
 		scheme, family string
 		n              int
 	}
-	targets := []cfg{{"b", "grid", 16}, {"back", "gnp-sparse", 14}}
+	targets := []cfg{
+		{"b", "grid", 16}, {"back", "gnp-sparse", 14},
+		{"barb", "grid", 16}, {"barb", "gnp-sparse", 14},
+		{"roundrobin", "grid", 16}, {"centralized", "grid", 16},
+	}
 	for name, spec := range faultMatrix() {
 		for _, tc := range targets {
 			t.Run(name+"/"+tc.scheme+"/"+tc.family, func(t *testing.T) {
@@ -84,6 +89,12 @@ func TestEngineModesBitIdenticalFaulted(t *testing.T) {
 					if ref.Coverage != out.Coverage || ref.Degraded != out.Degraded {
 						t.Fatalf("mode %s: degradation metrics differ: %v/%v vs %v/%v",
 							mode, out.Coverage, out.Degraded, ref.Coverage, ref.Degraded)
+					}
+					// Barb's completion knowledge lives in its node state,
+					// not in the raw Result.
+					if !reflect.DeepEqual(ref.KnowsCompleteRound, out.KnowsCompleteRound) ||
+						ref.TotalRounds != out.TotalRounds || ref.T != out.T {
+						t.Fatalf("mode %s: completion knowledge differs", mode)
 					}
 				}
 				if !reflect.DeepEqual(refTr, gotTr) {

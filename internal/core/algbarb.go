@@ -29,7 +29,7 @@ type AlgBarb struct {
 	haveMu     bool
 
 	round int
-	p     [3]*backPhase
+	p     [3]backPhase
 
 	T     int
 	haveT bool
@@ -48,7 +48,15 @@ type AlgBarb struct {
 // NewAlgBarb returns node state for Barb. label is the λarb label; the node
 // holding µ passes it via sourceMsg.
 func NewAlgBarb(label Label, sourceMsg *string) *AlgBarb {
-	a := &AlgBarb{label: label, isR: label == Label("111")}
+	a := &AlgBarb{}
+	a.init(label, sourceMsg)
+	return a
+}
+
+// init sets up a zero AlgBarb in place; the phase machines live inside
+// the node, so a slab of AlgBarb values is the whole per-node state.
+func (a *AlgBarb) init(label Label, sourceMsg *string) {
+	a.label, a.isR = label, label == Label("111")
 	if sourceMsg != nil {
 		a.isMuSource = true
 		a.haveMu = true
@@ -57,7 +65,6 @@ func NewAlgBarb(label Label, sourceMsg *string) *AlgBarb {
 	a.p[0] = newBackPhase(1, radio.KindInit, label, a.isR, true, true)
 	a.p[1] = newBackPhase(2, radio.KindReady, label, a.isR, false, true)
 	a.p[2] = newBackPhase(3, radio.KindData, label, a.isR, false, false)
-	return a
 }
 
 // Mu returns the source message if known.
@@ -111,6 +118,36 @@ func (a *AlgBarb) Step(rcv *radio.Message) radio.Action {
 	return radio.Listen
 }
 
+// NextWake implements radio.Waker. Every spontaneous Barb action falls on
+// a round the node already knows: a phase machine's duties at firstRecv+1
+// (ack/stay) and firstRecv+2 (retransmission), the coordinator's phase-2
+// and phase-3 starts, and sG's deferred phase-2 ack. The coordinator's
+// phase-1 start is in round 1, which is always stepped. Every other
+// transmission (stay-triggered retransmits, ack relays) follows a
+// reception in the previous round, which forces a step by itself.
+func (a *AlgBarb) NextWake() int {
+	next := radio.NeverWake
+	wake := func(w int) {
+		if w > a.round && (next == radio.NeverWake || w < next) {
+			next = w
+		}
+	}
+	for i := range a.p {
+		if f := a.p[i].firstRecv; f > 0 {
+			wake(f + 1)
+			wake(f + 2)
+		}
+	}
+	wake(a.phase2StartAt)
+	wake(a.phase3StartAt)
+	wake(a.sgAckRound)
+	return next
+}
+
+// Skip implements radio.Waker: a skipped Step is a pure round++, because
+// the phase machines' Listen branches have no side effects.
+func (a *AlgBarb) Skip(rounds int) { a.round += rounds }
+
 // react handles the node-level consequences of a reception (recorded at
 // round recvRound, processed at the next Step).
 func (a *AlgBarb) react(ph int, m *radio.Message, recvRound int) {
@@ -155,15 +192,18 @@ func (a *AlgBarb) react(ph int, m *radio.Message, recvRound int) {
 	}
 }
 
-// NewBarbProtocols builds one AlgBarb per node. source is the node holding µ.
+// NewBarbProtocols builds one AlgBarb per node, carved from one bulk
+// allocation. source is the node holding µ.
 func NewBarbProtocols(labels []Label, source int, mu string) []radio.Protocol {
+	nodes := make([]AlgBarb, len(labels))
 	ps := make([]radio.Protocol, len(labels))
 	for v := range labels {
 		var src *string
 		if v == source {
 			src = &mu
 		}
-		ps[v] = NewAlgBarb(labels[v], src)
+		nodes[v].init(labels[v], src)
+		ps[v] = &nodes[v]
 	}
 	return ps
 }

@@ -33,7 +33,7 @@ type backPhase struct {
 	ackTS         int
 	ackAux        int
 	ackPayload    string
-	transmitRds   map[int]bool // timestamps of own broadcast transmissions
+	transmitRds   map[int]bool // timestamps of own broadcast transmissions (nil until the first)
 
 	originAckHeard bool // origin only: the phase's ack chain arrived
 	originAckRound int
@@ -41,14 +41,23 @@ type backPhase struct {
 	originAckMsg   string
 }
 
-func newBackPhase(phase uint8, kind radio.Kind, label Label, isOrigin, zAck, timestamps bool) *backPhase {
-	return &backPhase{
+func newBackPhase(phase uint8, kind radio.Kind, label Label, isOrigin, zAck, timestamps bool) backPhase {
+	return backPhase{
 		phase: phase, kind: kind, label: label,
 		isOrigin: isOrigin, zAck: zAck, timestamps: timestamps,
 		informedRound: -1, firstRecv: -1, lastDataTx: -1,
 		stayAt: -1, ackAt: -1,
-		transmitRds: make(map[int]bool, 4),
 	}
+}
+
+// markTx records a timestamped broadcast transmission; the map is
+// allocated on first write (most nodes of a phase never transmit, and a
+// nil map reads as false).
+func (p *backPhase) markTx(ts int) {
+	if p.transmitRds == nil {
+		p.transmitRds = make(map[int]bool, 4)
+	}
+	p.transmitRds[ts] = true
 }
 
 // start performs the origin's first transmission, at node-local round r.
@@ -60,7 +69,7 @@ func (p *backPhase) start(r int, payload string, aux int) radio.Action {
 	ts := 0
 	if p.timestamps {
 		ts = 1
-		p.transmitRds[1] = true
+		p.markTx(1)
 	}
 	return radio.Send(radio.Message{Kind: p.kind, Payload: payload, TS: ts, Aux: aux, Phase: p.phase})
 }
@@ -112,7 +121,7 @@ func (p *backPhase) action(r int) radio.Action {
 			p.lastDataTx = r
 			t := ts(p.stayTS + 1)
 			if t > 0 {
-				p.transmitRds[t] = true
+				p.markTx(t)
 			}
 			return radio.Send(radio.Message{Kind: p.kind, Payload: p.payload, TS: t, Aux: p.aux, Phase: p.phase})
 		}
@@ -126,7 +135,7 @@ func (p *backPhase) action(r int) radio.Action {
 			p.lastDataTx = r
 			t := ts(p.informedRound + 2)
 			if t > 0 {
-				p.transmitRds[t] = true
+				p.markTx(t)
 			}
 			return radio.Send(radio.Message{Kind: p.kind, Payload: p.payload, TS: t, Aux: p.aux, Phase: p.phase})
 		}
@@ -147,7 +156,7 @@ func (p *backPhase) action(r int) radio.Action {
 		p.lastDataTx = r
 		t := ts(p.stayTS + 1)
 		if t > 0 {
-			p.transmitRds[t] = true
+			p.markTx(t)
 		}
 		return radio.Send(radio.Message{Kind: p.kind, Payload: p.payload, TS: t, Aux: p.aux, Phase: p.phase})
 

@@ -123,14 +123,15 @@ func (bs *bitState) reset(s *Sim) {
 // bitLane is one run driven through the bitset engine: a Sim plus the
 // round-loop bookkeeping.
 type bitLane struct {
-	s    *Sim
-	csr  *graph.CSR
-	bcsr *graph.BitCSR
-	opt  Options
-	fm   faults.Model
-	wm   faults.WordModel
-	topo faults.TopologyModel
-	fst  *faults.State
+	s       *Sim
+	csr     *graph.CSR
+	bcsr    *graph.BitCSR
+	opt     Options
+	ctxDone <-chan struct{} // opt.Ctx.Done(), taken once per run
+	fm      faults.Model
+	wm      faults.WordModel
+	topo    faults.TopologyModel
+	fst     *faults.State
 
 	rounds, total, silent      int
 	silentStopped, interrupted bool
@@ -148,6 +149,7 @@ func (l *bitLane) init(s *Sim, csr *graph.CSR, opt Options, topo faults.Topology
 	l.csr = csr
 	l.bcsr = csr.Bits()
 	l.opt = opt
+	l.ctxDone = doneChan(opt.Ctx)
 	l.fm = opt.Faults
 	l.topo = topo
 	l.fst = fst
@@ -173,7 +175,7 @@ func (l *bitLane) run() *Result {
 func (l *bitLane) runRound(round int) {
 	s := l.s
 	bs := s.bits
-	if l.opt.Ctx != nil && l.opt.Ctx.Err() != nil {
+	if cancelled(l.ctxDone) {
 		l.interrupted = true
 		l.done = true
 		return

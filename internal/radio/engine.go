@@ -19,7 +19,9 @@ type Options struct {
 	// the next round. The Result then carries everything observed so far
 	// with Interrupted set — cancellation yields partial data, never a
 	// corrupt engine. A nil Ctx (the default) is never checked, so
-	// non-cancellable runs pay nothing.
+	// non-cancellable runs pay nothing. The engine takes Ctx.Done() once
+	// per run and polls the channel, never Ctx.Err(), which locks the
+	// context's mutex that every run sharing the context contends on.
 	Ctx context.Context
 
 	// StopAfterSilent, when > 0, stops the run once this many consecutive
@@ -144,4 +146,23 @@ func Run(g *graph.Graph, protos []Protocol, opt Options) *Result {
 	s := simPool.Get().(*Sim)
 	defer simPool.Put(s)
 	return s.Run(g, protos, opt)
+}
+
+// doneChan returns ctx's Done channel, or nil for a nil ctx. A nil channel
+// never fires in cancelled.
+func doneChan(ctx context.Context) <-chan struct{} {
+	if ctx == nil {
+		return nil
+	}
+	return ctx.Done()
+}
+
+// cancelled reports, without blocking, whether done has been closed.
+func cancelled(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }

@@ -20,8 +20,9 @@ func (s *Sim) runReference(csr *graph.CSR, opt Options, topo faults.TopologyMode
 	}
 	silent, rounds, total := 0, 0, 0
 	silentStopped, interrupted := false, false
+	ctxDone := doneChan(opt.Ctx)
 	for round := 1; round <= opt.MaxRounds; round++ {
-		if opt.Ctx != nil && opt.Ctx.Err() != nil {
+		if cancelled(ctxDone) {
 			interrupted = true
 			break
 		}

@@ -8,8 +8,8 @@ import (
 )
 
 // Waker is an optional Protocol extension for schedule-driven protocols
-// (B, Back, the slotted baselines, scripted schedules): it lets the engine
-// skip the Step call for nodes that provably cannot act in a round.
+// (B, Back, Barb, the slotted baselines, scripted schedules): it lets the
+// engine skip the Step call for nodes that provably cannot act in a round.
 //
 // The engine guarantees a Step call in every round r in which the node
 // heard a message in round r−1 (or, for a NoiseProtocol, detected noise),

@@ -22,7 +22,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 n="${1:?usage: scripts/bench.sh <n> [bench-regex] [benchtime]}"
-pattern="${2:-BenchmarkBroadcastB\$|BenchmarkBroadcastBack\$|BenchmarkBaselines\$|BenchmarkSweep\$|BenchmarkLabeling\$|BenchmarkSessionCacheMiss\$|BenchmarkSessionCacheHit\$|BenchmarkStoreHit\$}"
+pattern="${2:-BenchmarkBroadcastB\$|BenchmarkBroadcastBack\$|BenchmarkBroadcastBarb\$|BenchmarkBaselines\$|BenchmarkSweep\$|BenchmarkLabeling\$|BenchmarkSessionCacheMiss\$|BenchmarkSessionCacheHit\$|BenchmarkStoreHit\$}"
 benchtime="${3:-1s}"
 out="BENCH_${n}.json"
 
